@@ -68,6 +68,10 @@ pub struct ReuseEntry {
     recompute_cycles: u64,
     replay_cycles: u64,
     hits: AtomicU64,
+    /// The owning cache's savings ledger, credited on every replay — also
+    /// after the entry is evicted or swept, since plans that spliced it
+    /// keep replaying off their handle. `None` for scratch handles.
+    ledger: Option<Arc<AtomicU64>>,
 }
 
 impl ReuseEntry {
@@ -81,10 +85,6 @@ impl ReuseEntry {
     fn score(&self) -> f64 {
         let hits = self.hits.load(Ordering::Relaxed);
         self.benefit_cycles() as f64 * (1 + hits) as f64 / self.bytes.max(1) as f64
-    }
-
-    fn realized_savings(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed) * self.benefit_cycles()
     }
 }
 
@@ -162,9 +162,13 @@ impl ReuseHandle {
         self.0.hits.load(Ordering::Relaxed)
     }
 
-    /// Record one replay (called by the executor leaf at `open`).
+    /// Record one replay (called by the executor leaf at `open`) and credit
+    /// its benefit to the owning cache's `cycles_saved`.
     pub fn note_hit(&self) {
         self.0.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(ledger) = &self.0.ledger {
+            ledger.fetch_add(self.0.benefit_cycles(), Ordering::Relaxed);
+        }
     }
 
     /// A detached handle over rows not resident in any cache — used by the
@@ -180,6 +184,7 @@ impl ReuseHandle {
             recompute_cycles: u64::MAX,
             replay_cycles: 0,
             hits: AtomicU64::new(0),
+            ledger: None,
         }))
     }
 }
@@ -206,9 +211,9 @@ pub struct ReuseStats {
     pub bytes: u64,
     /// Configured byte budget.
     pub budget_bytes: u64,
-    /// Total modeled cycles saved: `hits × (recompute − replay)` summed
-    /// over live entries plus everything evicted/swept entries earned
-    /// while resident.
+    /// Total modeled cycles saved: `recompute − replay` credited on every
+    /// replay of every entry this cache ever installed, including replays
+    /// of evicted or swept entries by plans that spliced them earlier.
     pub cycles_saved: u64,
 }
 
@@ -236,9 +241,9 @@ pub struct ReuseCache {
     install_failures: AtomicU64,
     evictions: AtomicU64,
     invalidations: AtomicU64,
-    /// Savings earned by entries no longer resident (evicted or swept):
-    /// realized benefit survives the entry.
-    retired_savings: AtomicU64,
+    /// Modeled cycles saved, credited by [`ReuseHandle::note_hit`]; shared
+    /// with every installed entry so realized benefit survives the entry.
+    cycles_saved: Arc<AtomicU64>,
 }
 
 struct Inner {
@@ -274,7 +279,7 @@ impl ReuseCache {
             install_failures: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
-            retired_savings: AtomicU64::new(0),
+            cycles_saved: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -350,6 +355,7 @@ impl ReuseCache {
             recompute_cycles,
             replay_cycles,
             hits: AtomicU64::new(0),
+            ledger: Some(Arc::clone(&self.cycles_saved)),
         });
         if inner.entries.contains_key(&key) {
             // Concurrent install of the same subtree: resident wins.
@@ -370,8 +376,6 @@ impl ReuseCache {
                 Some(k) => {
                     if let Some(old) = inner.entries.remove(&k) {
                         inner.bytes -= old.bytes;
-                        self.retired_savings
-                            .fetch_add(old.realized_savings(), Ordering::Relaxed);
                         self.evictions.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -409,8 +413,6 @@ impl ReuseCache {
         for k in stale {
             if let Some(old) = inner.entries.remove(&k) {
                 inner.bytes -= old.bytes;
-                self.retired_savings
-                    .fetch_add(old.realized_savings(), Ordering::Relaxed);
                 self.invalidations.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -419,8 +421,6 @@ impl ReuseCache {
     /// Drop every entry (counters are kept).
     pub fn clear(&self) {
         let mut inner = self.lock();
-        let retired: u64 = inner.entries.values().map(|e| e.realized_savings()).sum();
-        self.retired_savings.fetch_add(retired, Ordering::Relaxed);
         inner.entries.clear();
         inner.refused.clear();
         inner.bytes = 0;
@@ -453,7 +453,6 @@ impl ReuseCache {
     /// the sum of `rows × slot width` over live entries).
     pub fn stats(&self) -> ReuseStats {
         let inner = self.lock();
-        let live_savings: u64 = inner.entries.values().map(|e| e.realized_savings()).sum();
         ReuseStats {
             lookups: self.lookups.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
@@ -464,7 +463,7 @@ impl ReuseCache {
             entries: inner.entries.len() as u64,
             bytes: inner.bytes,
             budget_bytes: self.budget_bytes,
-            cycles_saved: live_savings + self.retired_savings.load(Ordering::Relaxed),
+            cycles_saved: self.cycles_saved.load(Ordering::Relaxed),
         }
     }
 }
@@ -777,6 +776,11 @@ mod tests {
         assert_eq!(s.entries, 0);
         assert_eq!(s.bytes, 0);
         assert_eq!(s.cycles_saved, 40_000, "savings survive the sweep");
+        // A plan that spliced the entry before the sweep still replays it.
+        h.note_hit();
+        cache.clear();
+        h.note_hit();
+        assert_eq!(cache.stats().cycles_saved, 3 * 40_000);
     }
 
     #[test]

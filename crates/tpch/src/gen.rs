@@ -4,6 +4,7 @@ use crate::text;
 use bufferdb_index::BTreeIndex;
 use bufferdb_storage::{Catalog, IndexDef, TableBuilder};
 use bufferdb_types::{DataType, Date, Datum, Decimal, Field, Rng, Schema, Tuple};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Generation parameters.
@@ -33,6 +34,24 @@ const ORDER_DATE_SPAN: i32 = 2405;
 
 fn money(rng: &mut Rng, lo_cents: i64, hi_cents: i64) -> Datum {
     Datum::Decimal(Decimal::from_cents(rng.gen_range(lo_cents..=hi_cents)))
+}
+
+/// A per-table string dictionary for low-cardinality columns: each
+/// distinct value is allocated once and every row holding it shares that
+/// `Arc<str>`, so a clone of the datum (and the row itself) stays a
+/// pointer copy.
+#[derive(Default)]
+struct Dict(HashSet<Arc<str>>);
+
+impl Dict {
+    fn str(&mut self, s: &str) -> Datum {
+        if let Some(shared) = self.0.get(s) {
+            return Datum::Str(Arc::clone(shared));
+        }
+        let shared: Arc<str> = Arc::from(s);
+        self.0.insert(Arc::clone(&shared));
+        Datum::Str(shared)
+    }
 }
 
 fn mix(mut x: u64) -> u64 {
@@ -195,13 +214,14 @@ fn gen_customer(cfg: &GenConfig) -> TableBuilder {
         ]),
     );
     let mut rng = Rng::seed_from_u64(cfg.seed ^ 0xC5);
+    let mut dict = Dict::default();
     for i in 1..=n {
         b.push(Tuple::new(vec![
             Datum::Int(i),
             Datum::str(format!("Customer#{i:09}")),
             Datum::Int(rng.gen_range(0i64..25)),
             money(&mut rng, -99_999, 999_999),
-            Datum::Str(text::pick(&mut rng, &text::MKT_SEGMENTS)),
+            dict.str(text::pick(&mut rng, &text::MKT_SEGMENTS)),
             Datum::Str(text::comment(&mut rng)),
         ]));
     }
@@ -223,6 +243,7 @@ fn gen_part(cfg: &GenConfig) -> TableBuilder {
         ]),
     );
     let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x9A);
+    let mut dict = Dict::default();
     for i in 1..=n {
         let ty = format!(
             "{} {} {}",
@@ -235,14 +256,14 @@ fn gen_part(cfg: &GenConfig) -> TableBuilder {
         b.push(Tuple::new(vec![
             Datum::Int(i),
             Datum::str(format!("part {i}")),
-            Datum::str(format!(
+            dict.str(&format!(
                 "Brand#{}{}",
                 rng.gen_range(1..6),
                 rng.gen_range(1..6)
             )),
-            Datum::Str(Arc::from(ty)),
+            dict.str(&ty),
             Datum::Int(rng.gen_range(1i64..51)),
-            Datum::Str(text::pick(&mut rng, &text::CONTAINERS)),
+            dict.str(text::pick(&mut rng, &text::CONTAINERS)),
             Datum::Decimal(Decimal::from_cents(cents)),
         ]));
     }
@@ -291,6 +312,7 @@ fn gen_orders(cfg: &GenConfig, n_orders: i64) -> TableBuilder {
         ]),
     );
     let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x0D);
+    let mut dict = Dict::default();
     let start = start_date();
     for i in 1..=n_orders {
         let date = order_date(cfg, i);
@@ -302,10 +324,10 @@ fn gen_orders(cfg: &GenConfig, n_orders: i64) -> TableBuilder {
         b.push(Tuple::new(vec![
             Datum::Int(i),
             Datum::Int(rng.gen_range(1..=customers)),
-            Datum::str(status),
+            dict.str(status),
             money(&mut rng, 90_000, 50_000_000),
             Datum::Date(date),
-            Datum::Str(text::pick(&mut rng, &text::ORDER_PRIORITIES)),
+            dict.str(text::pick(&mut rng, &text::ORDER_PRIORITIES)),
             Datum::Int(0),
             Datum::Str(text::comment(&mut rng)),
         ]));
@@ -339,6 +361,7 @@ fn gen_lineitem(cfg: &GenConfig, n_orders: i64) -> TableBuilder {
         ]),
     );
     let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x11);
+    let mut dict = Dict::default();
     let currentdate = Date::from_ymd(1995, 6, 17).expect("static date");
     for order in 1..=n_orders {
         // The hash-derived order date matches gen_orders exactly.
@@ -366,13 +389,13 @@ fn gen_lineitem(cfg: &GenConfig, n_orders: i64) -> TableBuilder {
                 Datum::Decimal(Decimal::from_cents(ext_cents)),
                 Datum::Decimal(Decimal::from_mantissa(rng.gen_range(0i64..=10) as i128, 2)),
                 Datum::Decimal(Decimal::from_mantissa(rng.gen_range(0i64..=8) as i128, 2)),
-                Datum::str(flag),
-                Datum::str(status),
+                dict.str(flag),
+                dict.str(status),
                 Datum::Date(ship),
                 Datum::Date(commit),
                 Datum::Date(receipt),
-                Datum::Str(text::pick(&mut rng, &text::SHIP_INSTRUCT)),
-                Datum::Str(text::pick(&mut rng, &text::SHIP_MODES)),
+                dict.str(text::pick(&mut rng, &text::SHIP_INSTRUCT)),
+                dict.str(text::pick(&mut rng, &text::SHIP_MODES)),
                 Datum::Str(text::comment(&mut rng)),
             ]));
         }
@@ -476,6 +499,70 @@ mod tests {
         assert_eq!(idx.btree.lookup(1).len(), 1);
         assert_eq!(idx.btree.lookup(n as i64).len(), 1);
         assert!(idx.btree.lookup(n as i64 + 1).is_empty());
+    }
+
+    /// FNV-1a over the `Debug` rendering of every row: any change in a
+    /// value, a type or the RNG draw order moves it.
+    fn table_digest(c: &Catalog, table: &str) -> (usize, u64) {
+        let t = c.table(table).unwrap();
+        let h = t.rows().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, row| {
+            format!("{row:?}")
+                .bytes()
+                .fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+        });
+        (t.row_count(), h)
+    }
+
+    #[test]
+    fn catalog_digests_are_pinned() {
+        // Recorded before the string dictionaries were introduced: sharing
+        // payloads must not move a single value or RNG draw.
+        let c = generate_catalog(0.002, 7);
+        for (table, rows, digest) in [
+            ("region", 5, 0xaa42_3f7e_6b0a_9149),
+            ("nation", 25, 0x66cd_afc3_c480_df84),
+            ("supplier", 20, 0x5053_0706_7db0_6581),
+            ("customer", 300, 0xc295_cdf1_d4de_73d8),
+            ("part", 400, 0xd001_4d16_3f30_cfcb),
+            ("partsupp", 1600, 0x091c_7e7f_221f_8f5d),
+            ("orders", 3000, 0x6f39_fba0_c664_3393),
+            ("lineitem", 11940, 0xa468_da75_e06c_c65e),
+        ] {
+            assert_eq!(table_digest(&c, table), (rows, digest), "{table} moved");
+        }
+    }
+
+    #[test]
+    fn low_cardinality_strings_share_one_allocation() {
+        let c = generate_catalog(0.002, 7);
+        // Every row holding a value must point at that value's first
+        // allocation; returns the number of distinct values.
+        let shared = |table: &str, col: usize| {
+            let t = c.table(table).unwrap();
+            let mut first: std::collections::HashMap<&str, &Arc<str>> = Default::default();
+            for row in t.rows().iter() {
+                let Datum::Str(s) = row.get(col) else {
+                    panic!("{table}.{col} is not a string")
+                };
+                let f = *first.entry(s).or_insert(s);
+                assert!(Arc::ptr_eq(f, s), "{table}.{col} {s:?} not shared");
+            }
+            first.len()
+        };
+        assert_eq!(shared("lineitem", 14), text::SHIP_MODES.len());
+        assert_eq!(shared("orders", 5), text::ORDER_PRIORITIES.len());
+        for (table, col) in [
+            ("lineitem", 8),
+            ("lineitem", 9),
+            ("lineitem", 13),
+            ("orders", 2),
+            ("customer", 4),
+            ("part", 2),
+            ("part", 3),
+            ("part", 5),
+        ] {
+            shared(table, col);
+        }
     }
 
     #[test]

@@ -110,9 +110,11 @@ pub fn comment(rng: &mut Rng) -> Arc<str> {
     Arc::from(s)
 }
 
-/// Pick uniformly from a static pool, returning a cheap shared string.
-pub fn pick(rng: &mut Rng, pool: &[&str]) -> Arc<str> {
-    Arc::from(pool[rng.gen_range(0..pool.len())])
+/// Pick uniformly from a static pool. Returns the borrowed pool entry and
+/// allocates nothing; generators share one `Arc<str>` per distinct value
+/// through their table's string dictionary.
+pub fn pick<'a>(rng: &mut Rng, pool: &[&'a str]) -> &'a str {
+    pool[rng.gen_range(0..pool.len())]
 }
 
 #[cfg(test)]

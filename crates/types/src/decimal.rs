@@ -38,7 +38,13 @@ const POW10: [i128; 19] = [
 ];
 
 /// A fixed-point decimal: `mantissa * 10^-scale`.
+///
+/// Packed to 4-byte alignment: an `i128` would otherwise force 16-byte
+/// alignment on every [`crate::Datum`] and double its size (48 → 24
+/// bytes). Fields of a packed struct are read by value, never borrowed:
+/// copy `mantissa` into a local before formatting or hashing it.
 #[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
 pub struct Decimal {
     mantissa: i128,
     scale: u8,
@@ -274,11 +280,12 @@ impl std::hash::Hash for Decimal {
 
 impl fmt::Display for Decimal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mantissa = self.mantissa;
         if self.scale == 0 {
-            return write!(f, "{}", self.mantissa);
+            return write!(f, "{mantissa}");
         }
-        let sign = if self.mantissa < 0 { "-" } else { "" };
-        let abs = self.mantissa.unsigned_abs();
+        let sign = if mantissa < 0 { "-" } else { "" };
+        let abs = mantissa.unsigned_abs();
         let factor = POW10[self.scale as usize] as u128;
         write!(
             f,
@@ -376,6 +383,48 @@ mod tests {
         };
         assert_eq!(h(&d("1.50")), h(&d("1.5")));
         assert_eq!(h(&d("0.00")), h(&d("0")));
+    }
+
+    #[test]
+    fn packed_layout_keeps_range_order_hash_and_debug() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        assert_eq!(std::mem::size_of::<Decimal>(), 20);
+        assert_eq!(std::mem::align_of::<Decimal>(), 4);
+
+        // Sums past i64::MAX stay exact in the i128 mantissa.
+        let big = Decimal::from_int(i64::MAX);
+        let sum = big
+            .checked_add(&big)
+            .unwrap()
+            .checked_add(&d("0.5"))
+            .unwrap();
+        assert_eq!(sum.mantissa(), 2 * i64::MAX as i128 * 10 + 5);
+        assert_eq!(sum.to_string(), "18446744073709551614.5");
+        let max = Decimal::from_mantissa(i128::MAX, 0);
+        assert!(matches!(
+            max.checked_add(&Decimal::from_int(1)),
+            Err(DbError::Overflow(_))
+        ));
+
+        // Comparison and hashing stay scale-independent.
+        let h = |v: &Decimal| {
+            let mut s = DefaultHasher::new();
+            v.hash(&mut s);
+            s.finish()
+        };
+        let (a, b) = (Decimal::from_mantissa(1_500, 3), Decimal::from_cents(150));
+        assert_eq!(a, b);
+        assert_eq!(h(&a), h(&b));
+        assert!(Decimal::from_mantissa(1_499, 3) < b);
+        assert!(sum > big);
+
+        // The derived Debug rendering is the unpacked struct's.
+        assert_eq!(format!("{b:?}"), "Decimal { mantissa: 150, scale: 2 }");
+        assert_eq!(
+            format!("{:?}", sum.negate()),
+            "Decimal { mantissa: -184467440737095516145, scale: 1 }"
+        );
     }
 
     #[test]

@@ -8,6 +8,10 @@ use std::sync::Arc;
 
 /// A single runtime value. `Null` is typeless, as in SQL.
 ///
+/// 24 bytes: an 8-byte-aligned 16-byte payload (`Arc<str>` is a fat
+/// pointer) plus the tag. [`Decimal`] is packed to 4-byte alignment so
+/// its 20 bytes fit beside the tag; the assertion below pins the layout.
+///
 /// Strings use `Arc<str>` so that cloning a datum (e.g. into an intermediate
 /// tuple held by a buffer operator) never copies string payloads — mirroring
 /// the paper's pointer-based buffering, which copies no tuple bodies.
@@ -28,6 +32,8 @@ pub enum Datum {
     /// UTF-8 string.
     Str(Arc<str>),
 }
+
+const _: () = assert!(std::mem::size_of::<Datum>() == 24);
 
 impl Datum {
     /// Convenience constructor for strings.

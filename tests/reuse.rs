@@ -164,6 +164,30 @@ fn stats_epoch_bump_invalidates_without_disturbing_prepared_queries() {
     assert_eq!(normalized(q3.execute_opts(&on).rows()), want);
 }
 
+/// A plan spliced before a stats-epoch sweep and executed after it still
+/// credits its replay to `cycles_saved` — the detached entry is gone from
+/// the cache, but the savings it realizes are the cache's.
+#[test]
+fn replay_after_epoch_sweep_is_credited_to_cycles_saved() {
+    let db = open_db();
+    let on = QueryOpts::new();
+    let plan = queries::tpch_q12(db.catalog()).unwrap();
+    assert!(db.harvest_reuse(&plan, &on) >= 1);
+    let q = db.prepare_opts(&plan, &on).unwrap();
+    let PlanNode::ReusedScan { handle } = q.plan() else {
+        panic!("whole-plan aggregate splice expected")
+    };
+    let benefit = handle.recompute_cycles() - handle.replay_cycles();
+    assert!(benefit > 0);
+    assert_eq!(db.reuse_cache().stats().cycles_saved, 0);
+
+    db.catalog().bump_stats_epoch();
+    db.reuse_cache().sweep_epoch(db.catalog().stats_epoch());
+    assert!(db.reuse_cache().is_empty(), "sweep detaches the entry");
+    assert!(q.execute_opts(&on).is_ok());
+    assert_eq!(db.reuse_cache().stats().cycles_saved, benefit);
+}
+
 /// A fault injected into the producing run must leave the cache empty —
 /// a failed harvest never installs, and the failure is not memoized as a
 /// merit refusal (a later clean harvest succeeds).
